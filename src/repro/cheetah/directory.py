@@ -104,6 +104,10 @@ class CampaignDirectory:
                 )
         return self.root
 
+    def exists(self) -> bool:
+        """True once :meth:`create` has written the status record."""
+        return self._status_path().is_file()
+
     @classmethod
     def open(cls, campaign_root: Path) -> "CampaignDirectory":
         """Open an existing campaign end point from its root directory."""

@@ -12,6 +12,7 @@ import ast
 import re
 
 from repro.lint.findings import Severity
+from repro.lint.flow import parse_source
 from repro.lint.rules import rule
 from repro.skel.generator import is_stale
 
@@ -25,10 +26,11 @@ def looks_generated(text: str) -> bool:
 
 
 def _parse_python(artifact):
-    """``ast.parse`` the artifact; returns ``None`` on syntax errors
-    (FAIR305 reports those — other AST rules just stand down)."""
+    """Parse the artifact through the lint parse lock; returns ``None``
+    on syntax errors (FAIR305 reports those — other AST rules just stand
+    down)."""
     try:
-        return ast.parse(artifact.text)
+        return parse_source(artifact.text)
     except SyntaxError:
         return None
 
@@ -150,7 +152,7 @@ def python_syntax_error(artifact, ctx):
     if not artifact.is_python:
         return
     try:
-        ast.parse(artifact.text)
+        parse_source(artifact.text)
     except SyntaxError as exc:
         yield (f"syntax error: {exc.msg}", f"line {exc.lineno or 0}")
 

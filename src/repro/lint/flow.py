@@ -27,6 +27,7 @@ from __future__ import annotations
 import ast
 import inspect
 import pickle
+import threading
 from dataclasses import dataclass, field
 
 #: Method names that mutate their receiver in place.  Used to detect
@@ -56,6 +57,23 @@ _CONSTANT_BUILDERS = frozenset(
 )
 
 
+#: Serializes every ``ast.parse`` in the lint package.  CPython 3.11 can
+#: raise ``SystemError('AST constructor recursion depth mismatch')`` when
+#: two threads build ASTs at once, which concurrent campaign-service
+#: drives (each linting its app function) would otherwise do.
+_PARSE_LOCK = threading.Lock()
+
+
+def parse_source(text: str) -> ast.Module:
+    """``ast.parse(text)`` under the process-wide parse lock.
+
+    The one parse path of the lint package; raises ``SyntaxError`` just
+    as ``ast.parse`` does.
+    """
+    with _PARSE_LOCK:
+        return ast.parse(text)
+
+
 class ModuleIndex:
     """Module-level bindings of one parsed module.
 
@@ -82,7 +100,7 @@ class ModuleIndex:
     @classmethod
     def from_source(cls, text: str, path: str = "<module>") -> "ModuleIndex | None":
         try:
-            tree = ast.parse(text)
+            tree = parse_source(text)
         except SyntaxError:
             return None
         return cls(tree, path)

@@ -7,7 +7,12 @@ answering the questions the write-only trace left manual:
 - **critical path** — the chain of alloc/task spans that bounds the
   campaign makespan (walked backward from the last-ending work, through
   node-occupancy predecessors, dispatch waits, queue waits, and
-  resubmission gaps), with per-span slack;
+  resubmission gaps), with per-span slack.  Each step's predecessor is
+  the latest-ending unvisited attempt that ended by the current span's
+  start on a node it shares (or, before an allocation grant, on any
+  node by the allocation's submission); ties go to the attempt earliest
+  in trace order.  Sorted per-node end-time indexes make the walk
+  O(n log n) in task attempts;
 - **wait-time attribution** — allocated node-seconds split into
   execution vs ramp/gap/tail idle, and wall-clock split into queue wait
   vs in-allocation time, plus summed retry backoff;
@@ -24,6 +29,7 @@ the same thing in a metrics snapshot and in a report.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
 
 from repro.observability.analysis.spans import SpanTrace
@@ -203,18 +209,23 @@ class CampaignReport:
 # analysis passes
 
 
+def _nodes_of(task) -> tuple:
+    """The nodes a task attempt occupied (``nodes``, else ``node``)."""
+    return task.nodes or ((task.node,) if task.node is not None else ())
+
+
 def _busy_intervals_by_node(tasks):
     """node -> sorted [(start, end, task)] occupancy from task spans."""
     by_node: dict = {}
     for t in tasks:
-        for node in t.nodes or ((t.node,) if t.node is not None else ()):
+        for node in _nodes_of(t):
             by_node.setdefault(node, []).append(t)
     for spans in by_node.values():
         spans.sort(key=lambda t: (t.start, t.end))
     return by_node
 
 
-def _slack_by_task(tasks, window_end: float) -> dict:
+def _slack_by_task(tasks, window_end: float, by_node) -> dict:
     """Task -> seconds it could slip before extending the makespan.
 
     In this greedy schedule, delaying a task pushes every later task on
@@ -222,7 +233,6 @@ def _slack_by_task(tasks, window_end: float) -> dict:
     on the node plus the node's tail gap to the campaign end.  A
     multi-node task takes the tightest of its nodes.
     """
-    by_node = _busy_intervals_by_node(tasks)
     node_slack: dict = {}  # (node, task id) -> slack
     for node, spans in by_node.items():
         tail = max(0.0, window_end - spans[-1].end)
@@ -234,14 +244,56 @@ def _slack_by_task(tasks, window_end: float) -> dict:
                 acc += max(0.0, spans[i].start - spans[i - 1].end)
     slack = {}
     for t in tasks:
-        keys = [(n, id(t)) for n in (t.nodes or ((t.node,) if t.node is not None else ()))]
+        keys = [(n, id(t)) for n in _nodes_of(t)]
         vals = [node_slack[k] for k in keys if k in node_slack]
         slack[id(t)] = min(vals) if vals else max(0.0, window_end - t.end)
     return slack
 
 
-def _critical_path(tasks, allocs, window, slack):
-    """Backward walk from the last-ending work to the campaign start."""
+class _LatestEnding:
+    """Task attempts ordered by ``(end, -trace index)``.
+
+    :meth:`before` answers "the latest-ending unvisited attempt with
+    ``end <= bound``, earliest in trace order on a tie" with one
+    bisection: the rightmost entry at or below the bound is that
+    attempt unless it was visited.  Visited entries are skipped through
+    ``_left`` links (union-find with path compression: ``_left[i] == i``
+    while entry ``i`` is live), so every entry is stepped over at most
+    once in amortized terms and a whole backward walk stays
+    O(n log n).
+    """
+
+    def __init__(self, indexed):
+        # indexed: iterable of (trace index, task)
+        self._entries = sorted(indexed, key=lambda e: (e[1].end, -e[0]))
+        self._ends = [t.end for _, t in self._entries]
+        self._left = list(range(len(self._entries)))
+
+    def before(self, bound: float, visited: set):
+        """``(trace index, task)`` of the match, or ``None``."""
+        left = self._left
+        i = bisect_right(self._ends, bound) - 1
+        passed = []
+        while i >= 0:
+            j = left[i]
+            if j == i:
+                if id(self._entries[i][1]) not in visited:
+                    break
+                j = i - 1
+            passed.append(i)
+            i = j
+        for p in passed:
+            left[p] = i
+        return self._entries[i] if i >= 0 else None
+
+
+def _critical_path(tasks, allocs, window, slack, by_node):
+    """Backward walk from the last-ending work to the campaign start.
+
+    The predecessor rule is in the module docstring; its lookups go
+    through :class:`_LatestEnding` indexes built on first use, one per
+    node plus one over every attempt.
+    """
     start, _end = window
     elements: list[dict] = []
 
@@ -260,28 +312,34 @@ def _critical_path(tasks, allocs, window, slack):
 
     alloc_by_index = {a.index: a for a in allocs}
     visited: set[int] = set()
+    trace_index: dict = {}
+    for i, t in enumerate(tasks):
+        trace_index.setdefault(id(t), i)
+    node_indexes: dict = {}
+    all_index = None
 
     def node_pred(cur):
-        cur_nodes = set(cur.nodes or ((cur.node,) if cur.node is not None else ()))
+        bound = cur.start + _EPS
         best = None
-        for t in tasks:
-            if t is cur or id(t) in visited or t.end > cur.start + _EPS:
-                continue
-            t_nodes = set(t.nodes or ((t.node,) if t.node is not None else ()))
-            if not (cur_nodes & t_nodes):
-                continue
-            if best is None or t.end > best.end:
-                best = t
-        return best
+        for node in set(_nodes_of(cur)):
+            index = node_indexes.get(node)
+            if index is None:
+                index = node_indexes[node] = _LatestEnding(
+                    (trace_index[id(t)], t) for t in by_node[node]
+                )
+            hit = index.before(bound, visited)
+            if hit is not None and (
+                best is None or (hit[1].end, -hit[0]) > (best[1].end, -best[0])
+            ):
+                best = hit
+        return best[1] if best is not None else None
 
     def any_pred(before: float):
-        best = None
-        for t in tasks:
-            if id(t) in visited or t.end > before + _EPS:
-                continue
-            if best is None or t.end > best.end:
-                best = t
-        return best
+        nonlocal all_index
+        if all_index is None:
+            all_index = _LatestEnding(enumerate(tasks))
+        hit = all_index.before(before + _EPS, visited)
+        return hit[1] if hit is not None else None
 
     cur = max(tasks, key=lambda t: t.end) if tasks else None
     if cur is None and allocs:
@@ -334,13 +392,12 @@ def _critical_path(tasks, allocs, window, slack):
     return elements
 
 
-def _attribution(tasks, allocs, window, retry_backoff: float = 0.0):
+def _attribution(tasks, allocs, window, by_node, per_node, retry_backoff: float = 0.0):
     """Node-seconds + wall-clock split; see the module docstring."""
     start, end = window
     capacity = 0.0
     idle_ramp = idle_gaps = idle_tail = 0.0
     execution = sum(t.duration * max(1, len(t.nodes) or 1) for t in tasks)
-    by_node = _busy_intervals_by_node(tasks)
     for alloc in allocs:
         alloc_end = alloc.end if alloc.end is not None else end
         width = len(alloc.nodes) or 1
@@ -377,7 +434,7 @@ def _attribution(tasks, allocs, window, retry_backoff: float = 0.0):
             "resubmit_gaps": resubmit_gaps,
         },
         "retry_backoff": retry_backoff,
-        "per_node": _per_node(tasks),
+        "per_node": per_node,
         "per_group": _per_group(tasks),
     }
 
@@ -385,7 +442,7 @@ def _attribution(tasks, allocs, window, retry_backoff: float = 0.0):
 def _per_node(tasks) -> dict:
     out: dict = {}
     for t in tasks:
-        for node in t.nodes or ((t.node,) if t.node is not None else ()):
+        for node in _nodes_of(t):
             row = out.setdefault(
                 str(node), {"busy": 0.0, "attempts": 0, "failed": 0, "faults": 0}
             )
@@ -454,7 +511,7 @@ def _stragglers(tasks) -> list:
     return flagged
 
 
-def _retry_hotspots(tasks, trace: SpanTrace, pid: int) -> dict:
+def _retry_hotspots(tasks, trace: SpanTrace, pid: int, per_node: dict) -> dict:
     task_names = {}  # task_id -> name (last attempt wins; names are stable)
     for t in tasks:
         task_names[t.task_id] = t.name
@@ -471,7 +528,6 @@ def _retry_hotspots(tasks, trace: SpanTrace, pid: int) -> dict:
         )
     hot_tasks.sort(key=lambda t: (-t["retries"], t["task"]))
 
-    per_node = _per_node(tasks)
     counts = {node: row["failed"] + row["faults"] for node, row in per_node.items()}
     hot_nodes = []
     if counts:
@@ -562,8 +618,10 @@ def report_for_campaign(trace: SpanTrace, campaign) -> CampaignReport:
     tasks = trace.tasks_of(campaign)
     allocs = trace.allocs_of(campaign)
     done = [t.duration for t in tasks if t.outcome == "done"]
-    slack = _slack_by_task(tasks, window[1])
-    critical_path = _critical_path(tasks, allocs, window, slack)
+    by_node = _busy_intervals_by_node(tasks)
+    per_node = _per_node(tasks)
+    slack = _slack_by_task(tasks, window[1], by_node)
+    critical_path = _critical_path(tasks, allocs, window, slack, by_node)
     task_ids = {t.task_id for t in tasks}
     retry_backoff = sum(
         seconds
@@ -601,9 +659,9 @@ def report_for_campaign(trace: SpanTrace, campaign) -> CampaignReport:
         durations=durations,
         critical_path=critical_path,
         critical_path_seconds=sum(el["duration"] for el in critical_path),
-        attribution=_attribution(tasks, allocs, window, retry_backoff),
+        attribution=_attribution(tasks, allocs, window, by_node, per_node, retry_backoff),
         stragglers=_stragglers(tasks),
-        retry_hotspots=_retry_hotspots(tasks, trace, campaign.pid),
+        retry_hotspots=_retry_hotspots(tasks, trace, campaign.pid, per_node),
         utilization=_utilization(tasks, allocs, window),
         allocations=[
             {

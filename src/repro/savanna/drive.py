@@ -208,6 +208,21 @@ def _resolve_pending(
     )
 
 
+def _require_created(directory) -> None:
+    """Refuse a :class:`CampaignDirectory` whose :meth:`create` never ran.
+
+    Checked before lint or pool start-up, so the caller sees what to do
+    rather than a missing ``status.json`` deep inside resume resolution.
+    A path is fine: :func:`resolve_campaign_dir` creates it on first use.
+    """
+    if isinstance(directory, CampaignDirectory) and not directory.exists():
+        raise FileNotFoundError(
+            f"campaign directory {directory.root} was never created: call "
+            "CampaignDirectory.create() before driving it (or pass its parent "
+            "path as directory= to create it on first use)"
+        )
+
+
 def _check_cancelled(cancel) -> bool:
     """Normalize the external stop signal: Event, callable, or None."""
     if cancel is None:
@@ -257,6 +272,7 @@ def execute_campaign(
     worker processes carries it, so one ``grep trace_id=...`` lines up
     the whole execution across logs and buses.
     """
+    _require_created(directory)
     trace_id = trace_id or new_trace_id()
     if backend_kind(backend) == "real":
         # One wall-clock bus for the whole campaign, so the groups share
@@ -416,6 +432,7 @@ def execute_manifest(
         backends — propagated into every task spec and worker process
         (minted fresh when not supplied).
     """
+    _require_created(directory)
     trace_id = trace_id or new_trace_id()
     if backend_kind(backend) == "real":
         return _execute_manifest_real(

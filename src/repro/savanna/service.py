@@ -80,7 +80,7 @@ from repro.observability import (
 )
 from repro.observability.live import TelemetrySampler, TelemetryServer
 from repro.savanna.backends import backend_kind
-from repro.savanna.drive import _pool_of, execute_campaign
+from repro.savanna.drive import _pool_of, _require_created, execute_campaign
 from repro.savanna.realexec import wall_clock_bus
 
 
@@ -440,6 +440,7 @@ class CampaignService:
         if self._closing:
             raise RuntimeError("service is stopping; submissions are closed")
         backend_kind(backend)  # unknown backend fails at submit time
+        _require_created(drive_kwargs.get("directory"))
         lint_report = None
         app_fn = drive_kwargs.get("app_fn")
         if (

@@ -92,3 +92,74 @@ class TestStatus:
         cd.create()
         assert len(cd.pending_runs(group="g")) == 4
         assert cd.pending_runs(group="other") == ()
+
+
+def _square(params):
+    return params["x"] ** 2
+
+
+class TestUncreatedDirectory:
+    """Driving a ``CampaignDirectory`` whose ``create()`` never ran fails
+    at once with an error that says so, before lint or a pool starts."""
+
+    def _bus(self):
+        from repro.savanna.realexec import wall_clock_bus
+
+        bus = wall_clock_bus("uncreated")
+        seen = []
+        bus.subscribe(seen.append)
+        return bus, seen
+
+    def test_real_drive_names_create(self, tmp_path):
+        from repro.savanna import execute_manifest
+
+        directory = CampaignDirectory(tmp_path, make_manifest())
+        bus, seen = self._bus()
+        with pytest.raises(FileNotFoundError, match=r"CampaignDirectory\.create\(\)"):
+            execute_manifest(
+                directory.manifest, backend="local-threads", app_fn=_square,
+                directory=directory, bus=bus,
+            )
+        assert seen == []  # no lint verdict, no group span, no task
+        assert not directory.root.exists()
+
+    def test_simulated_drive_and_campaign_name_create(self, tmp_path):
+        from repro.cluster.cluster import ClusterSpec, SimulatedCluster
+        from repro.savanna import execute_campaign, execute_manifest
+
+        directory = CampaignDirectory(tmp_path, make_manifest())
+        cluster = SimulatedCluster(ClusterSpec(nodes=2), seed=1)
+        seen = []
+        cluster.bus.subscribe(seen.append)
+        for drive in (execute_manifest, execute_campaign):
+            with pytest.raises(FileNotFoundError, match=r"CampaignDirectory\.create\(\)"):
+                drive(directory.manifest, lambda p: 10.0, cluster, directory=directory)
+        assert seen == []
+        assert not directory.root.exists()
+
+    def test_service_submit_names_create(self, tmp_path):
+        from repro.savanna import CampaignService
+
+        directory = CampaignDirectory(tmp_path, make_manifest())
+        service = CampaignService()
+        with pytest.raises(FileNotFoundError, match=r"CampaignDirectory\.create\(\)"):
+            service.submit(
+                directory.manifest, backend="local-threads", app_fn=_square,
+                directory=directory,
+            )
+        assert service.queued == 0
+
+    def test_created_directory_and_plain_path_still_drive(self, tmp_path):
+        from repro.savanna import execute_manifest
+
+        manifest = make_manifest()
+        result = execute_manifest(
+            manifest, backend="local-threads", app_fn=_square, directory=tmp_path
+        )
+        assert len(result.completed) == len(manifest.runs)
+        directory = CampaignDirectory(tmp_path, manifest)
+        assert directory.exists()
+        again = execute_manifest(
+            manifest, backend="local-threads", app_fn=_square, directory=directory
+        )
+        assert again.results == {}  # resumed: every run already DONE

@@ -9,8 +9,12 @@ because ``lint_app_fn`` resolves callables through their module source).
 
 from __future__ import annotations
 
+import ast
 import json
+import sys
 import textwrap
+import threading
+import time
 
 import pytest
 
@@ -19,6 +23,7 @@ from repro.cheetah import AppSpec, Campaign, Sweep, SweepParameter
 from repro.cheetah.directory import CampaignDirectory, resolve_campaign_dir
 from repro.lint import fix_source, lint_app_fn, lint_path, lint_paths
 from repro.lint import cache as lint_cache
+from repro.lint import flow as lint_flow
 from repro.lint.__main__ import main as lint_main
 from repro.lint.engine import CampaignLintError
 from repro.lint.findings import Severity
@@ -198,6 +203,77 @@ class TestServiceGate:
         assert opted_out.lint_report is None
         simulated = service.submit(make_manifest("svc-sim"))
         assert simulated.lint_report is None
+
+
+# -- one locked parse path ------------------------------------------------------
+
+
+class TestParseLock:
+    """Every parse in the lint package goes through ``flow.parse_source``.
+
+    A guard, not a reproduction: the CPython 3.11 AST race this lock
+    closes did not reproduce on demand.  Instead ``ast.parse`` is wrapped
+    to count how many threads are inside it at once, yielding the
+    interpreter lock while counted; any parse that bypasses the lock
+    shows up as a second thread inside.
+    """
+
+    THREADS = 8
+    CALLS = 20
+
+    def test_concurrent_app_fn_lint_never_parses_in_parallel(self, monkeypatch):
+        real_parse = ast.parse
+        guard = threading.Lock()
+        state = {"inside": 0, "most": 0, "parses": 0}
+
+        def counting_parse(*args, **kwargs):
+            with guard:
+                state["inside"] += 1
+                state["parses"] += 1
+                state["most"] = max(state["most"], state["inside"])
+            try:
+                time.sleep(0)  # let another thread in, were it unlocked
+                return real_parse(*args, **kwargs)
+            finally:
+                with guard:
+                    state["inside"] -= 1
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        expected = rule_ids(lint_app_fn(fixture_apps.calls_noisy_helper, pool="threads"))
+        start = threading.Barrier(self.THREADS)
+        results: list = []
+        errors: list = []
+
+        def worker():
+            start.wait(timeout=30)
+            for _ in range(self.CALLS):
+                try:
+                    report = lint_app_fn(fixture_apps.calls_noisy_helper, pool="threads")
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+                else:
+                    results.append(rule_ids(report))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(self.THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [expected] * (self.THREADS * self.CALLS)
+        assert state["parses"] >= self.THREADS * self.CALLS + 1
+        assert state["most"] == 1
+
+    def test_parse_source_raises_syntax_error_like_ast_parse(self):
+        with pytest.raises(SyntaxError):
+            lint_flow.parse_source("def broken(:\n")
+        assert not lint_flow._PARSE_LOCK.locked()
 
 
 # -- the incremental cache ----------------------------------------------------
