@@ -4,7 +4,7 @@ Nothing in this package is part of the public API; modules elsewhere in
 :mod:`repro` import from here freely, external users should not.
 """
 
-from repro._util.io import atomic_write_text, path_lock
+from repro._util.io import atomic_write_text
 from repro._util.rng import as_generator, spawn_children
 from repro._util.tables import format_table, format_series
 from repro._util.tagged import (
@@ -24,7 +24,6 @@ from repro._util.validate import (
 
 __all__ = [
     "atomic_write_text",
-    "path_lock",
     "UnserializableValueError",
     "dumps_tagged",
     "loads_tagged",

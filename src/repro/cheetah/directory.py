@@ -8,25 +8,23 @@ Layout::
 
     <root>/<campaign>/
       .cheetah/manifest.json        # hidden campaign metadata
-      .cheetah/status.json          # per-run status (the resume record)
-      .cheetah/report.json          # trace analytics (drive report=True)
+      .cheetah/store.sqlite         # run status, outcomes, reports (repro.store)
+      .cheetah/lint.json            # the lint verdict that admitted the drive
       <group>/run-NNNN/params.json  # one directory per run
-      <group>/run-NNNN/result.json  # real-run outcome (real backends)
+      <group>/run-NNNN/result.json  # opt-in outcome export (json_results=True)
 
 Status is the machine-actionable face of "users may simply re-submit a
 partially completed SweepGroup ... to continue execution" (§V-D).
 
-**Durability.** Every ``.cheetah/`` metadata file and per-run record is
-written atomically (temp file + fsync + ``os.replace`` — see
-:func:`repro._util.atomic_write_text`), so a driver killed mid-write can
-never leave torn JSON behind, and the read-modify-write cycles on
-``status.json`` are serialized per directory (:func:`repro._util.path_lock`)
-so concurrent campaign-service submissions cannot drop each other's
-status transitions.  When a campaign-result store
-(:mod:`repro.store`) has been materialized at ``.cheetah/store.sqlite``,
-status updates and reports are mirrored into it and
-:meth:`CampaignDirectory.read_run_result` falls back to it — the store
-is the durable record at scale, the JSON files the human-readable face.
+**Durability.** Run status, real-run outcomes and trace reports have one
+record: the campaign store (:mod:`repro.store`) at
+``.cheetah/store.sqlite``, into which :meth:`CampaignDirectory.create`
+registers the manifest.  Every write is one sqlite transaction in WAL
+mode, so a driver killed mid-write leaves the last committed state, and
+concurrent writers serialize on sqlite's own lock.  The remaining files
+(``manifest.json``, ``params.json``, ``lint.json`` and the
+``result.json`` export) are written atomically — temp file + fsync +
+``os.replace``, see :func:`repro._util.atomic_write_text`.
 """
 
 from __future__ import annotations
@@ -35,26 +33,8 @@ import enum
 import json
 from pathlib import Path
 
-from repro._util import (
-    atomic_write_text,
-    dumps_tagged,
-    loads_tagged,
-    path_lock,
-    tagged_default,
-)
+from repro._util import atomic_write_text, dumps_tagged, tagged_default
 from repro.cheetah.manifest import CampaignManifest, manifest_from_json, manifest_to_json
-
-
-def _jsonable(value):
-    """json.dumps ``default=`` hook: lossless tagged encoding.
-
-    Known non-JSON types (numpy, complex, bytes, set, Path, datetime)
-    are encoded with an explicit ``__repro__`` tag and round-trip
-    exactly; anything else raises
-    :class:`repro._util.UnserializableValueError` instead of silently
-    persisting a non-round-trippable ``repr`` string into the record.
-    """
-    return tagged_default(value)
 
 
 class RunStatus(enum.Enum):
@@ -75,11 +55,17 @@ class CampaignDirectory:
         self.root = Path(root) / manifest.campaign
         self.manifest = manifest
         self._run_ids: frozenset | None = None
+        self._store = None
 
     # -- creation ------------------------------------------------------------
 
     def create(self) -> Path:
-        """Materialize the directory schema; idempotent for same manifest."""
+        """Materialize the directory schema; idempotent for same manifest.
+
+        Writes the manifest and per-run ``params.json`` files, then
+        registers every run (status ``pending``) in the campaign store;
+        re-creating leaves recorded statuses untouched.
+        """
         meta = self.root / self.METADATA_DIR
         meta.mkdir(parents=True, exist_ok=True)
         manifest_path = meta / "manifest.json"
@@ -96,17 +82,14 @@ class CampaignDirectory:
                 run_dir / "params.json",
                 dumps_tagged(run.parameters, indent=2, sort_keys=True),
             )
-        status_path = meta / "status.json"
-        with path_lock(status_path):
-            if not status_path.exists():
-                self._write_status(
-                    {run.run_id: RunStatus.PENDING.value for run in self.manifest.runs}
-                )
+        if self._store is None:
+            self._store = self.open_store()
+        self._store.ensure_campaign(self.manifest)
         return self.root
 
     def exists(self) -> bool:
-        """True once :meth:`create` has written the status record."""
-        return self._status_path().is_file()
+        """True once :meth:`create` has materialized the campaign store."""
+        return self.store_path().is_file()
 
     @classmethod
     def open(cls, campaign_root: Path) -> "CampaignDirectory":
@@ -118,45 +101,30 @@ class CampaignDirectory:
         obj.root = campaign_root
         obj.manifest = manifest
         obj._run_ids = None
+        obj._store = None
         return obj
 
     # -- status --------------------------------------------------------------
 
-    def _status_path(self) -> Path:
-        return self.root / self.METADATA_DIR / "status.json"
-
-    def _write_status(self, status: dict) -> None:
-        atomic_write_text(
-            self._status_path(), json.dumps(status, indent=2, sort_keys=True)
-        )
-
     def read_status(self) -> dict:
-        """``{run_id: RunStatus}`` for every run."""
-        raw = json.loads(self._status_path().read_text())
-        return {run_id: RunStatus(value) for run_id, value in raw.items()}
+        """``{run_id: RunStatus}`` for every run (one store query)."""
+        statuses = self.store().statuses(self.manifest.campaign)
+        return {run_id: RunStatus(value) for run_id, value in statuses.items()}
 
     def set_status(self, run_id: str, status: RunStatus) -> None:
-        """Record one run's status (read-modify-write, locked per directory)."""
+        """Record one run's status."""
         self.update_status({run_id: status})
 
     def update_status(self, updates: dict) -> None:
-        """Batch status update ``{run_id: RunStatus}``.
+        """Batch status update ``{run_id: RunStatus}``, one store transaction.
 
-        The read-modify-write cycle runs under the per-directory lock
-        (:func:`repro._util.path_lock`), so two concurrent submissions
-        sharing a campaign directory serialize instead of silently
-        dropping each other's transitions; the final write is atomic.
-        When the campaign's result store has been materialized, the
-        statuses are mirrored into it as well.
+        Every id is checked against the manifest first: an unknown one
+        raises ``KeyError`` and nothing is written.
         """
-        with path_lock(self._status_path()):
-            current = json.loads(self._status_path().read_text())
-            for run_id, status in updates.items():
-                if run_id not in current:
-                    raise KeyError(f"unknown run_id {run_id!r}")
-                current[run_id] = status.value
-            self._write_status(current)
-        self._mirror_status(updates)
+        for run_id in updates:
+            if run_id not in self.run_ids:
+                raise KeyError(f"unknown run_id {run_id!r}")
+        self.store().set_statuses(self.manifest.campaign, updates)
 
     def pending_runs(self, group: str | None = None) -> tuple:
         """RunSpecs not yet DONE (FAILED counts as pending for resubmission)."""
@@ -189,11 +157,8 @@ class CampaignDirectory:
         return tuple(out)
 
     def summary(self) -> dict:
-        """Counts by status — the campaign query API of §IV."""
-        counts: dict[str, int] = {s.value: 0 for s in RunStatus}
-        for status in self.read_status().values():
-            counts[status.value] += 1
-        return counts
+        """Counts by status — the campaign query API of §IV, in SQL."""
+        return self.store().summary(self.manifest.campaign)
 
     def run_dir(self, run_id: str) -> Path:
         return self.root / run_id
@@ -209,7 +174,7 @@ class CampaignDirectory:
     # -- real-run outcomes ---------------------------------------------------
 
     def write_run_result(self, run_id: str, payload: dict) -> Path:
-        """Persist one really-executed run's outcome as ``<run>/result.json``.
+        """Export one really-executed run's outcome as ``<run>/result.json``.
 
         ``payload`` is the run's outcome record (status, value, error +
         traceback, elapsed, seed, attempts — whatever the real executor
@@ -217,12 +182,11 @@ class CampaignDirectory:
         are encoded losslessly with the tagged form (numpy, complex,
         bytes, set, Path, datetime); a value that cannot round-trip
         raises :class:`repro._util.UnserializableValueError` instead of
-        corrupting the record.
+        corrupting the file.
 
-        This is the *human-inspection export*: at scale the drive
-        records outcomes into the campaign store
-        (:meth:`record_results` / :mod:`repro.store`) and writes these
-        JSON files only on request.
+        This is the *human-inspection export*: outcomes are recorded in
+        the campaign store (:meth:`record_results`), and nothing reads
+        these files back as the record.
         """
         if run_id not in self.run_ids:
             raise KeyError(f"unknown run_id {run_id!r}")
@@ -230,46 +194,15 @@ class CampaignDirectory:
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_text(
             path,
-            json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n",
+            json.dumps(payload, indent=2, sort_keys=True, default=tagged_default) + "\n",
         )
         return path
 
     def read_run_result(self, run_id: str) -> dict | None:
-        """The persisted outcome of one run (``None`` if never recorded).
-
-        Prefers the ``result.json`` export when present (tagged values
-        decode back to their original types), and otherwise falls back
-        to the campaign store at ``.cheetah/store.sqlite`` — so callers
-        keep one read API whether outcomes were exported as JSON or
-        recorded durably in SQL.
-        """
-        path = self.run_dir(run_id) / "result.json"
-        if path.exists():
-            return loads_tagged(path.read_text())
-        if self.store_path().exists():
-            with self.open_store() as store:
-                return store.read_run_result(self.manifest.campaign, run_id)
-        return None
-
-    # -- result store --------------------------------------------------------
-
-    def store_path(self) -> Path:
-        """Where this campaign's SQL-backed result store lives."""
-        return self.root / self.METADATA_DIR / "store.sqlite"
-
-    def open_store(self):
-        """Open (creating on first use) the campaign's result store.
-
-        Returns a :class:`repro.store.CampaignStore` bound to
-        ``.cheetah/store.sqlite`` with this campaign's manifest already
-        ingested.  Use as a context manager; the store flushes its
-        write-behind buffer and closes on exit.
-        """
-        from repro.store import CampaignStore  # lazy: repro.store imports us
-
-        store = CampaignStore(self.store_path())
-        store.ensure_campaign(self.manifest)
-        return store
+        """The recorded outcome of one run, from the campaign store
+        (``None`` if never recorded).  Tagged values decode back to their
+        original types; a ``result.json`` export is never consulted."""
+        return self.store().read_run_result(self.manifest.campaign, run_id)
 
     def record_results(self, results: dict, json_export: bool = False) -> None:
         """Record really-executed run outcomes into the campaign store.
@@ -281,64 +214,61 @@ class CampaignDirectory:
         per-run ``result.json`` files for human inspection.  Interrupted
         runs are never recorded — they are pending, not outcomes.
         """
-        with self.open_store() as store:
-            store.record_run_results(self.manifest.campaign, results)
+        self.store().record_run_results(self.manifest.campaign, results)
         if json_export:
-            from dataclasses import asdict, is_dataclass
-
             for run_id, outcome in results.items():
-                payload = asdict(outcome) if is_dataclass(outcome) else dict(outcome)
+                payload = outcome if isinstance(outcome, dict) else vars(outcome)
                 if payload.get("status") != "interrupted":
                     self.write_run_result(run_id, payload)
 
-    def _mirror_status(self, updates: dict) -> None:
-        """Mirror status transitions into the store, when one exists."""
-        if not self.store_path().exists():
-            return
-        with self.open_store() as store:
-            store.set_statuses(self.manifest.campaign, updates)
+    # -- result store --------------------------------------------------------
+
+    def store_path(self) -> Path:
+        """Where this campaign's SQL-backed store lives."""
+        return self.root / self.METADATA_DIR / "store.sqlite"
+
+    def open_store(self):
+        """A new connection to the campaign store, for the caller to close.
+
+        Returns a :class:`repro.store.CampaignStore` bound to
+        ``.cheetah/store.sqlite``; use it as a context manager (it
+        flushes its write-behind buffer and closes on exit).
+        """
+        from repro.store import CampaignStore  # lazy: repro.store imports us
+
+        return CampaignStore(self.store_path())
+
+    def store(self):
+        """The campaign store every status, outcome and report call of this
+        object goes through: opened on first use, kept open while the
+        object lives.  Raises ``FileNotFoundError`` before :meth:`create`.
+        """
+        if self._store is None:
+            if not self.exists():
+                raise FileNotFoundError(
+                    f"campaign directory {self.root} was never created: call "
+                    "CampaignDirectory.create() first"
+                )
+            self._store = self.open_store()
+        return self._store
 
     # -- performance reports -------------------------------------------------
 
-    def _report_path(self) -> Path:
-        return self.root / self.METADATA_DIR / "report.json"
-
-    def write_report(self, reports: list) -> Path:
-        """Merge campaign reports into ``.cheetah/report.json``.
+    def write_report(self, reports: list) -> None:
+        """Record campaign reports in the campaign store.
 
         ``reports`` is a list of report dicts (or objects with
         ``to_dict()``, e.g. ``CampaignReport``) in the
-        ``repro.observability.report/v1`` file format.  Reports are keyed
-        by ``(campaign, group)`` — re-running a group replaces its entry,
-        so the file always reflects the latest execution of each group.
-        Returns the report path.
+        ``repro.observability.report/v1`` format.  Reports are keyed by
+        group — re-running a group replaces its entry, so the store
+        always holds the latest execution of each group.
         """
-        incoming = [r if isinstance(r, dict) else r.to_dict() for r in reports]
-        path = self._report_path()
-        with path_lock(path):
-            existing: list = []
-            schema = "repro.observability.report/v1"
-            if path.exists():
-                data = json.loads(path.read_text())
-                existing = data.get("reports", [])
-                schema = data.get("schema", schema)
-            key = lambda r: (r.get("campaign"), r.get("group"))
-            replaced = {key(r) for r in incoming}
-            merged = [r for r in existing if key(r) not in replaced] + incoming
-            atomic_write_text(
-                path, json.dumps({"schema": schema, "reports": merged}, indent=1) + "\n"
-            )
-        if self.store_path().exists():
-            with self.open_store() as store:
-                store.record_reports(self.manifest.campaign, incoming)
-        return path
+        self.store().record_reports(self.manifest.campaign, reports)
 
     def read_report(self) -> list:
-        """Report dicts from ``.cheetah/report.json`` (empty if never written)."""
-        path = self._report_path()
-        if not path.exists():
-            return []
-        return json.loads(path.read_text()).get("reports", [])
+        """Report dicts from the campaign store, ordered by group (empty
+        if never written)."""
+        return self.store().reports(self.manifest.campaign)
 
     def _lint_path(self) -> Path:
         return self.root / self.METADATA_DIR / "lint.json"

@@ -127,7 +127,7 @@ def main(argv=None) -> int:
         type=Path,
         default=None,
         metavar="DIR",
-        help="with --resilience: journal campaign progress into a Cheetah "
+        help="with --resilience: record campaign progress in a Cheetah "
         "directory under DIR (enables --resume)",
     )
     parser.add_argument(

@@ -529,9 +529,9 @@ def resilience_campaign(
     """One checkpointed campaign under faults; rerun with ``resume=True``.
 
     First invocation creates the Cheetah campaign directory under
-    ``directory_root`` and journals per-run progress; a later invocation
+    ``directory_root`` and records per-run progress; a later invocation
     with ``resume=True`` (``--resume`` on the CLI) skips every run the
-    journal records DONE and executes exactly the remainder.
+    store records DONE and executes exactly the remainder.
     """
     from pathlib import Path
 
@@ -598,7 +598,7 @@ def resilience_campaign(
         ),
         rows=rows,
         notes=[
-            "progress is journaled per task transition; a killed driver "
+            "progress is recorded per task transition; a killed driver "
             "loses at most its in-flight attempts"
         ],
         extra={"result": result, "summary": summary, "directory": directory},

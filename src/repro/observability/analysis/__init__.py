@@ -19,8 +19,8 @@ Entry points:
 - ``python -m repro.observability report <trace.json>`` /
   ``... diff <baseline> <candidate> --fail-on-regression <pct>`` — the CLI;
 - ``savanna`` drive with ``report=True`` — a live analyzer that emits a
-  ``campaign.report`` event and writes ``report.json`` into the campaign
-  directory.
+  ``campaign.report`` event and records the report in the campaign
+  directory's store (``directory.read_report()``).
 
 The report schema and CLI are documented in ``docs/observability.md``
 ("Reading traces back").

@@ -13,8 +13,8 @@ human services the debt):
   (fixed delay, exponential backoff with deterministic jitter, per-task
   timeouts, per-allocation retry budgets) consumed by both Savanna
   executors;
-- :mod:`repro.resilience.checkpoint` — write-ahead journaling of per-run
-  status into the Cheetah campaign directory, so a killed campaign
+- :mod:`repro.resilience.checkpoint` — per-transition records of run
+  status in the Cheetah campaign directory's store, so a killed campaign
   resumes exactly its pending runs.
 
 Every retry/timeout/fault/resume decision is narrated on the cluster's

@@ -2,39 +2,35 @@
 
 "If all runs in the SweepGroup cannot be run in the allotted time, the
 SweepGroup is simply re-submitted, and Savanna resumes execution of the
-experiments" (§V-D).  Resumption is only as good as the on-disk record:
-before this layer, run statuses were written once, *after* the campaign
-loop drained — a killed driver process left ``status.json`` claiming
-nothing ran.
+experiments" (§V-D).  Resumption is only as good as the durable record,
+so a run's status must be recorded as it changes, not after the
+campaign loop drains.
 
-A :class:`CampaignCheckpoint` closes that gap with a write-ahead journal
-inside the Cheetah campaign directory::
+A :class:`CampaignCheckpoint` records every task transition in the
+campaign store of the Cheetah campaign directory::
 
-    <root>/<campaign>/.cheetah/status.json     # compacted base record
-    <root>/<campaign>/.cheetah/journal.jsonl   # one line per transition
+    <root>/<campaign>/.cheetah/store.sqlite   # runs.status, one row per run
 
-Every task transition observed on the cluster's event bus appends one
-JSON line (O(1) per event — no rewrite of the full status map), and
-:meth:`CampaignCheckpoint.compact` folds the journal back into
-``status.json`` when a group finishes.  Reading overlays the journal on
-the base record, so a driver killed mid-campaign still resumes exactly
-the pending set.
+Each transition observed on the cluster's event bus is one ``UPDATE``
+of the run's row, committed on its own (sqlite WAL), on a store opened
+once per checkpoint.  A driver killed mid-campaign therefore loses at
+most its in-flight attempts: they read RUNNING, which
+:meth:`CampaignCheckpoint.pending` counts as pending and
+:meth:`CampaignCheckpoint.compact` turns back into PENDING.
 
 **Per-submission scoping**: with the campaign service
 (:mod:`repro.savanna.service`) many drive pipelines run concurrently in
-one process, each attaching its own checkpoint.  The journal format is
-append-per-line and therefore safe for *distinct* directories, but two
-live writers on the *same* campaign directory would interleave
-transitions from unrelated attempts — so :meth:`CampaignCheckpoint.attach`
-enforces one attached writer per journal path process-wide and raises
-``RuntimeError`` on the second.  A concurrent re-submission of a
-still-running campaign fails loudly at attach time instead of silently
-corrupting the resume record.
+one process, each attaching its own checkpoint.  Two live writers on the
+*same* campaign directory would interleave transitions from unrelated
+attempts — so :meth:`CampaignCheckpoint.attach` enforces one attached
+writer per campaign directory process-wide and raises ``RuntimeError``
+on the second.  A concurrent re-submission of a still-running campaign
+fails loudly at attach time instead of silently corrupting the resume
+record.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 
 from repro.cheetah.directory import CampaignDirectory, RunStatus
@@ -53,76 +49,41 @@ _OUTCOME_TO_STATUS = {
 
 
 class CampaignCheckpoint:
-    """Incremental per-run status records inside a campaign directory.
+    """Incremental per-run status records in a campaign directory's store.
 
     Parameters
     ----------
     directory:
         The :class:`~repro.cheetah.directory.CampaignDirectory` holding
-        the campaign end point (must have been ``create()``-d, so
-        ``status.json`` exists).
+        the campaign end point (must have been ``create()``-d, so its
+        store exists).
     """
 
-    JOURNAL_NAME = "journal.jsonl"
-
-    #: Process-wide registry of journal paths with a live attached writer
-    #: (per-submission scoping: one writer per campaign directory).
+    #: Process-wide registry of campaign directories with a live attached
+    #: writer (per-submission scoping: one writer per campaign directory).
     _ATTACHED: dict = {}
     _ATTACHED_LOCK = threading.Lock()
 
     def __init__(self, directory: CampaignDirectory):
         self.directory = directory
-        self._journal_path = (
-            directory.root / CampaignDirectory.METADATA_DIR / self.JOURNAL_NAME
-        )
-        self._known = {run.run_id for run in directory.manifest.runs}
+        self._store = directory.store()
+        self._campaign = directory.manifest.campaign
         self._unsubscribe = None
 
-    # -- journal -------------------------------------------------------------
-
-    def record(self, run_id: str, status: RunStatus, time: float | None = None) -> None:
-        """Append one status transition to the journal (O(1))."""
-        if run_id not in self._known:
+    def record(self, run_id: str, status: RunStatus) -> None:
+        """Commit one status transition: one ``UPDATE`` of the run's row."""
+        if run_id not in self.directory.run_ids:
             raise KeyError(f"unknown run_id {run_id!r}")
-        line = json.dumps({"run": run_id, "status": status.value, "time": time})
-        with self._journal_path.open("a") as fh:
-            fh.write(line + "\n")
-
-    def journal_entries(self) -> list[dict]:
-        """Parsed journal lines, in append order (empty if no journal).
-
-        A driver killed hard (SIGKILL, OOM) can die *mid-write*, leaving
-        the final line truncated; that line is dropped rather than
-        poisoning resume — every complete line before it is still
-        trusted.  A malformed line anywhere *else* is a real corruption
-        and raises.
-        """
-        if not self._journal_path.exists():
-            return []
-        entries = []
-        lines = [ln.strip() for ln in self._journal_path.read_text().splitlines()]
-        lines = [ln for ln in lines if ln]
-        for i, line in enumerate(lines):
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    break  # torn final write from a killed driver
-                raise
-        return entries
+        self._store.set_statuses(self._campaign, {run_id: status})
 
     # -- reading -------------------------------------------------------------
 
     def effective_status(self) -> dict:
-        """``{run_id: RunStatus}``: the base record overlaid with the
-        journal (later lines win).  This is what resume must trust."""
-        status = self.directory.read_status()
-        for entry in self.journal_entries():
-            status[entry["run"]] = RunStatus(entry["status"])
-        return status
+        """``{run_id: RunStatus}`` as recorded — what resume must trust."""
+        return self.directory.read_status()
 
     def completed(self) -> set:
-        """Run ids durably recorded DONE (base record or journal)."""
+        """Run ids durably recorded DONE."""
         return {
             run_id
             for run_id, st in self.effective_status().items()
@@ -132,7 +93,7 @@ class CampaignCheckpoint:
     def pending(self) -> set:
         """Run ids a resumed driver must re-queue: everything not DONE.
 
-        An in-flight attempt whose outcome was never journaled reads as
+        An in-flight attempt whose outcome was never recorded reads as
         RUNNING and therefore counts as pending — same rule
         :meth:`compact` applies."""
         return {
@@ -141,47 +102,34 @@ class CampaignCheckpoint:
             if st is not RunStatus.DONE
         }
 
-    # -- compaction ----------------------------------------------------------
-
     def compact(self) -> None:
-        """Fold the journal into ``status.json`` and truncate it.
+        """Turn runs left RUNNING back into PENDING (one ``UPDATE``).
 
-        A run interrupted while RUNNING compacts to PENDING — an
-        in-flight attempt whose outcome was never journaled must be
+        An in-flight attempt whose outcome was never recorded must be
         re-queued, not trusted.
         """
-        entries = self.journal_entries()
-        if not entries:
-            return
-        updates: dict[str, RunStatus] = {}
-        for entry in entries:
-            status = RunStatus(entry["status"])
-            if status is RunStatus.RUNNING:
-                status = RunStatus.PENDING
-            updates[entry["run"]] = status
-        self.directory.update_status(updates)
-        self._journal_path.unlink()
+        self._store.requeue_running(self._campaign)
 
     # -- bus wiring ----------------------------------------------------------
 
     def attach(self, bus, owner: str | None = None) -> None:
-        """Subscribe to ``bus`` and journal every task transition.
+        """Subscribe to ``bus`` and record every task transition.
 
-        ``task`` span begins journal RUNNING; ends journal the mapped
+        ``task`` span begins record RUNNING; ends record the mapped
         outcome.  Events about tasks that are not runs of this campaign
         (names outside the manifest) are ignored, so a shared bus is safe.
 
         One live writer per campaign directory, process-wide: attaching
-        while another checkpoint is already attached to the same journal
-        raises ``RuntimeError`` naming the current holder — this is the
-        per-submission scope guard that keeps concurrent campaign-service
-        submissions from interleaving transitions into one journal.
+        while another checkpoint is already attached to the same
+        directory raises ``RuntimeError`` naming the current holder —
+        this is the per-submission scope guard that keeps concurrent
+        campaign-service submissions from interleaving transitions.
         ``owner`` labels this writer (e.g. a submission id) for that
         error message.
         """
         if self._unsubscribe is not None:
             raise RuntimeError("checkpoint already attached to a bus")
-        key = str(self._journal_path)
+        key = self._writer_key()
         with self._ATTACHED_LOCK:
             holder = self._ATTACHED.get(key)
             if holder is not None:
@@ -192,19 +140,20 @@ class CampaignCheckpoint:
                     "against the same directory"
                 )
             self._ATTACHED[key] = owner or f"checkpoint@{id(self):#x}"
+        known = self.directory.run_ids
 
         def observe(event) -> None:
             if event.name != TASK:
                 return
             run_id = event.fields.get("task")
-            if run_id not in self._known:
+            if run_id not in known:
                 return
             if event.phase == BEGIN:
-                self.record(run_id, RunStatus.RUNNING, time=event.time)
+                self.record(run_id, RunStatus.RUNNING)
             elif event.phase == END:
                 status = _OUTCOME_TO_STATUS.get(event.fields.get("outcome"))
                 if status is not None:
-                    self.record(run_id, status, time=event.time)
+                    self.record(run_id, status)
 
         self._unsubscribe = bus.subscribe(observe)
 
@@ -214,4 +163,7 @@ class CampaignCheckpoint:
             self._unsubscribe()
             self._unsubscribe = None
             with self._ATTACHED_LOCK:
-                self._ATTACHED.pop(str(self._journal_path), None)
+                self._ATTACHED.pop(self._writer_key(), None)
+
+    def _writer_key(self) -> str:
+        return str(self.directory.root.resolve())

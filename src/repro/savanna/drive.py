@@ -22,35 +22,35 @@ registered kind (:func:`~repro.savanna.backends.backend_kind`):
   ``bus=`` to share one across groups).
 
 Both worlds get the full stack: the pre-run ``repro.lint`` gate,
-incremental :class:`~repro.resilience.CampaignCheckpoint` journaling
-(one JSONL line per task transition, compacted into ``status.json`` when
-the group drains — a driver process killed mid-campaign loses at most
-the in-flight attempts), ``resume=True`` re-queuing exactly the runs not
+incremental :class:`~repro.resilience.CampaignCheckpoint` status
+records (one committed row update per task transition in the campaign
+store — a driver process killed mid-campaign loses at most the
+in-flight attempts), ``resume=True`` re-queuing exactly the runs not
 yet recorded DONE, ``group`` spans / ``group.resumed`` instants on the
 bus, and ``report=True`` trace analytics: a collector rides the bus for
 the duration of the group, the captured events are analyzed (see
 :mod:`repro.observability.analysis`), one ``campaign.report`` instant
 with the headline numbers (makespan, utilization, critical path,
 stragglers) is emitted, and — when a ``directory`` is in play — the full
-report is merged into the campaign end point's ``.cheetah/report.json``.
-Real runs additionally persist each run's outcome (value, error +
-traceback, seed, attempts) durably: bulk-recorded into the campaign
-store at ``.cheetah/store.sqlite`` (:mod:`repro.store`, the default) and
-— with ``json_results=True`` — exported as per-run ``<run>/result.json``
-files for human inspection.
+report is recorded in the campaign store.  Real runs additionally
+persist each run's outcome (value, error + traceback, seed, attempts):
+bulk-recorded into the campaign store and — with ``json_results=True``
+— exported as per-run ``<run>/result.json`` files for human inspection.
+The store, ``.cheetah/store.sqlite`` (:mod:`repro.store`), is the one
+durable record of status, outcomes and reports.
 
 The drive is internally a *pipeline of stages* — lint gate, resume-set
 resolution, sub-manifest construction, execution, report analysis,
-status compaction — shared verbatim between the simulated and the real
-path, and reused per submission by the asyncio campaign service
-(:mod:`repro.savanna.service`), which runs many of these pipelines
-concurrently.  The per-submission **middleware order** is fixed and
-documented on :func:`execute_manifest`.
+result and status persistence — shared verbatim between the simulated
+and the real path, and reused per submission by the asyncio campaign
+service (:mod:`repro.savanna.service`), which runs many of these
+pipelines concurrently.  The per-submission **middleware order** is
+fixed and documented on :func:`execute_manifest`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.cheetah.directory import CampaignDirectory, RunStatus, resolve_campaign_dir
 from repro.cheetah.manifest import CampaignManifest
@@ -150,7 +150,7 @@ class _PendingWork:
 
     ``sub`` is the input manifest narrowed to one group and (with
     ``resume=True``) to the runs not yet durably DONE; ``skipped`` is how
-    many the journal let us skip (reported via ``group.resumed``).
+    many the durable record let us skip (reported via ``group.resumed``).
     """
 
     directory: CampaignDirectory | None
@@ -170,9 +170,9 @@ def _resolve_pending(
 
     Accepts a :class:`~repro.cheetah.directory.CampaignDirectory` or a
     path (resolved and created on first use), constructs the
-    write-ahead :class:`~repro.resilience.CampaignCheckpoint` over it,
-    and — when resuming — overlays the journal on the base status record
-    to drop every run already recorded DONE.  Shared verbatim by the
+    :class:`~repro.resilience.CampaignCheckpoint` over it, and — when
+    resuming — reads the recorded statuses (one store query) to drop
+    every run already recorded DONE.  Shared verbatim by the
     simulated and the real execution paths, and therefore by every
     campaign-service submission.
     """
@@ -212,7 +212,7 @@ def _require_created(directory) -> None:
     """Refuse a :class:`CampaignDirectory` whose :meth:`create` never ran.
 
     Checked before lint or pool start-up, so the caller sees what to do
-    rather than a missing ``status.json`` deep inside resume resolution.
+    rather than a missing campaign store deep inside resume resolution.
     A path is fine: :func:`resolve_campaign_dir` creates it on first use.
     """
     if isinstance(directory, CampaignDirectory) and not directory.exists():
@@ -241,7 +241,6 @@ def execute_campaign(
     resume: bool = True,
     lint: bool = True,
     report: bool = False,
-    store: bool = True,
     json_results: bool = False,
     cancel=None,
     trace_id: str | None = None,
@@ -310,7 +309,6 @@ def execute_campaign(
             resume=resume,
             lint=False,
             report=report,
-            store=store,
             json_results=json_results,
             cancel=cancel,
             trace_id=trace_id,
@@ -331,7 +329,6 @@ def execute_manifest(
     resume: bool = True,
     lint: bool = True,
     report: bool = False,
-    store: bool = True,
     json_results: bool = False,
     cancel=None,
     trace_id: str | None = None,
@@ -348,22 +345,22 @@ def execute_manifest(
        (``campaign.linted`` instant either way);
     2. **group resolution** — pin the SweepGroup whose nodes/walltime
        envelope applies;
-    3. **resume resolution** (``directory`` + ``resume=True``) —
-       overlay the write-ahead journal on ``status.json`` and narrow the
+    3. **resume resolution** (``directory`` + ``resume=True``) — read
+       the recorded run statuses from the campaign store and narrow the
        manifest to the runs not yet DONE (``group.resumed`` instant);
     4. **execution** — the backend's engine, routed on
        :func:`~repro.savanna.backends.backend_kind`; the
-       :class:`~repro.resilience.CampaignCheckpoint` journals every task
-       transition while it runs, and real backends honour ``cancel``;
+       :class:`~repro.resilience.CampaignCheckpoint` commits every task
+       transition to the store while it runs, and real backends honour
+       ``cancel``;
     5. **report analysis** (``report=True``) — the group's captured
        events become a ``CampaignReport`` + one ``campaign.report``
-       instant;
-    6. **result + status compaction** — real-run outcomes are
-       bulk-recorded into the campaign store
-       (``.cheetah/store.sqlite`` — ``store=True``, the default; pass
-       ``json_results=True`` to additionally export per-run
-       ``result.json`` files), then final statuses land in
-       ``status.json`` and are mirrored into the store.
+       instant, recorded in the store with a ``directory``;
+    6. **result + status persistence** — real-run outcomes are
+       bulk-recorded into the campaign store (``.cheetah/store.sqlite``;
+       pass ``json_results=True`` to additionally export per-run
+       ``result.json`` files), then the final statuses of the group's
+       runs are written to the same store.
 
     Parameters
     ----------
@@ -385,16 +382,16 @@ def execute_manifest(
         accept ``max_workers=``, ``retry_policy=``, ``seed=``,
         ``chunk_size=`` and ``bus=``.
     directory:
-        If given, per-run progress is journaled incrementally (the
-        resume record survives a killed driver) and final statuses are
-        compacted back into ``status.json``.  A path is accepted too and
-        resolved through
+        If given, per-run progress is committed to the campaign store
+        as it happens (the resume record survives a killed driver) and
+        final statuses are written there when the group drains.  A path
+        is accepted too and resolved through
         :func:`~repro.cheetah.directory.resolve_campaign_dir` (created
         on first use) — the same resolution the ``repro.lint`` CLI uses,
         so the linted end point and the resumed end point are one.
     resume:
-        With a ``directory``: skip runs whose durable status (base
-        record + journal) is already DONE, emitting ``group.resumed``.
+        With a ``directory``: skip runs whose recorded status is
+        already DONE, emitting ``group.resumed``.
         ``resume=False`` re-executes every run of the group.
     lint:
         Run the ``repro.lint`` manifest rules before executing anything
@@ -403,23 +400,19 @@ def execute_manifest(
     report:
         Collect this group's events off the bus and analyze them after
         the group drains: emits one ``campaign.report`` instant carrying
-        the headline numbers and, with a ``directory``, merges the full
-        :class:`~repro.observability.analysis.CampaignReport` into
-        ``.cheetah/report.json`` (read it back with
-        ``directory.read_report()``).  For real backends the spans are
-        genuine wall-clock measurements, so the critical path and the
-        straggler list describe the machine you actually ran on.
-    store:
-        With a ``directory``, real-run outcomes are bulk-recorded into
-        the durable campaign store at ``.cheetah/store.sqlite``
-        (:mod:`repro.store`) — chunked ``executemany`` ingestion, one
-        transaction per chunk, instead of one fsynced JSON file per run.
-        ``store=False`` restores the legacy per-file-only persistence.
+        the headline numbers and, with a ``directory``, records the full
+        :class:`~repro.observability.analysis.CampaignReport` in the
+        campaign store (read it back with ``directory.read_report()``).
+        For real backends the spans are genuine wall-clock measurements,
+        so the critical path and the straggler list describe the machine
+        you actually ran on.
     json_results:
-        Opt-in per-run ``result.json`` export alongside the store
-        (``directory.read_run_result`` reads either form transparently).
-        Ignored when ``store=False`` — the legacy path always writes
-        the files.
+        With a ``directory``, real-run outcomes are always bulk-recorded
+        into the campaign store (:mod:`repro.store`; chunked
+        ``executemany`` ingestion, one transaction per chunk).
+        ``json_results=True`` additionally exports per-run
+        ``result.json`` files for human inspection; they are never read
+        back (``directory.read_run_result`` answers from the store).
     cancel:
         External stop signal (``threading.Event`` or zero-argument
         callable).  Real backends poll it while executing and take the
@@ -444,7 +437,6 @@ def execute_manifest(
             resume=resume,
             lint=lint,
             report=report,
-            store=store,
             json_results=json_results,
             cancel=cancel,
             trace_id=trace_id,
@@ -462,48 +454,18 @@ def execute_manifest(
 
     tasks = tasks_from_manifest(work.sub, duration_model)
     executor = create_executor(backend, cluster=cluster, **backend_kwargs)
-    # Streaming analysis: events fold into report state as they are
-    # emitted (batch-aware, O(1) memory per event) instead of being
-    # buffered whole and replayed after the run.
-    streaming = _make_streaming(cluster.bus) if report else None
-    cluster.bus.emit(
-        GROUP,
-        phase=BEGIN,
-        campaign=manifest.campaign,
-        group=group,
-        runs=len(tasks),
-        backend=backend,
-        trace_id=trace_id,
+    result = _run_group(
+        cluster.bus, work, group, backend, trace_id, report,
+        lambda: executor.run(
+            tasks,
+            nodes=work.meta["nodes"],
+            walltime=work.meta["walltime"],
+            max_allocations=max_allocations,
+            inter_allocation_gap=inter_allocation_gap,
+            name=f"{manifest.campaign}/{group}",
+            checkpoint=work.checkpoint,
+        ),
     )
-    if work.skipped:
-        cluster.bus.emit(
-            GROUP_RESUMED,
-            campaign=manifest.campaign,
-            total=len(work.sub.runs) + work.skipped,
-            skipped=work.skipped,
-            pending=len(tasks),
-            trace_id=trace_id,
-        )
-    result = executor.run(
-        tasks,
-        nodes=work.meta["nodes"],
-        walltime=work.meta["walltime"],
-        max_allocations=max_allocations,
-        inter_allocation_gap=inter_allocation_gap,
-        name=f"{manifest.campaign}/{group}",
-        checkpoint=work.checkpoint,
-    )
-    cluster.bus.emit(
-        GROUP,
-        phase=END,
-        campaign=manifest.campaign,
-        group=group,
-        completed=len(result.completed),
-        trace_id=trace_id,
-    )
-    if streaming is not None:
-        streaming.detach()
-        _report_group(cluster.bus, work.directory, streaming.reports())
     if work.directory is not None:
         work.directory.update_status(
             {task.name: _STATE_TO_STATUS[task.state] for task in tasks}
@@ -521,7 +483,6 @@ def _execute_manifest_real(
     resume,
     lint,
     report,
-    store,
     json_results,
     cancel,
     trace_id,
@@ -531,7 +492,7 @@ def _execute_manifest_real(
 
     Mirrors the simulated path stage for stage — lint gate, resume set
     computation, group span, checkpoint attach, report analysis, status
-    compaction — but hands the pending runs to a
+    persistence — but hands the pending runs to a
     :class:`~repro.savanna.realexec.RealExecutor` (with the external
     ``cancel`` signal threaded through) and persists each run's real
     outcome into the campaign directory.
@@ -560,44 +521,67 @@ def _execute_manifest_real(
         work.directory.write_lint_report(lint_report)
 
     executor = create_executor(backend, **backend_kwargs)
+
+    def execute():
+        if work.checkpoint is not None:
+            work.checkpoint.attach(bus)
+        try:
+            return executor.execute(
+                work.sub,
+                app_fn,
+                bus=bus,
+                name=f"{manifest.campaign}/{group}",
+                cancel=cancel,
+                trace_id=trace_id,
+            )
+        finally:
+            if work.checkpoint is not None:
+                work.checkpoint.detach()
+                work.checkpoint.compact()
+
+    result = _run_group(bus, work, group, backend, trace_id, report, execute)
+    if work.directory is not None:
+        work.directory.record_results(result.results, json_export=json_results)
+        work.directory.update_status(
+            {rid: _REAL_TO_STATUS[r.status] for rid, r in result.results.items()}
+        )
+    return result
+
+
+def _run_group(bus, work: _PendingWork, group, backend, trace_id, report, run):
+    """Pipeline stages 4-5, shared by both paths: ``run()`` the pending
+    work inside the ``group`` span (plus ``group.resumed`` when resume
+    skipped runs), then publish the group's report when ``report=True``.
+
+    Streaming analysis: events fold into report state as they are
+    emitted (batch-aware, O(1) memory per event) instead of being
+    buffered whole and replayed after the run.
+    """
+    campaign, pending = work.sub.campaign, len(work.sub.runs)
     streaming = _make_streaming(bus) if report else None
     bus.emit(
         GROUP,
         phase=BEGIN,
-        campaign=manifest.campaign,
+        campaign=campaign,
         group=group,
-        runs=len(work.sub.runs),
+        runs=pending,
         backend=backend,
         trace_id=trace_id,
     )
     if work.skipped:
         bus.emit(
             GROUP_RESUMED,
-            campaign=manifest.campaign,
-            total=len(work.sub.runs) + work.skipped,
+            campaign=campaign,
+            total=pending + work.skipped,
             skipped=work.skipped,
-            pending=len(work.sub.runs),
+            pending=pending,
             trace_id=trace_id,
         )
-    if work.checkpoint is not None:
-        work.checkpoint.attach(bus)
-    try:
-        result = executor.execute(
-            work.sub,
-            app_fn,
-            bus=bus,
-            name=f"{manifest.campaign}/{group}",
-            cancel=cancel,
-            trace_id=trace_id,
-        )
-    finally:
-        if work.checkpoint is not None:
-            work.checkpoint.detach()
-            work.checkpoint.compact()
+    result = run()
     bus.emit(
         GROUP,
         phase=END,
-        campaign=manifest.campaign,
+        campaign=campaign,
         group=group,
         completed=len(result.completed),
         trace_id=trace_id,
@@ -605,19 +589,6 @@ def _execute_manifest_real(
     if streaming is not None:
         streaming.detach()
         _report_group(bus, work.directory, streaming.reports())
-    if work.directory is not None:
-        if store:
-            # Durable path: outcomes land in .cheetah/store.sqlite via
-            # chunked bulk ingestion; per-run JSON files are the opt-in
-            # human-inspection export.
-            work.directory.record_results(result.results, json_export=json_results)
-        else:
-            for rid, run_result in result.results.items():
-                if run_result.status != "interrupted":
-                    work.directory.write_run_result(rid, asdict(run_result))
-        work.directory.update_status(
-            {rid: _REAL_TO_STATUS[r.status] for rid, r in result.results.items()}
-        )
     return result
 
 
@@ -633,8 +604,8 @@ def _report_group(bus, directory, reports) -> None:
 
     Emits one ``campaign.report`` instant per campaign span the
     streaming builder saw (normally one — the executor wraps the group's
-    allocations in a single campaign span) and writes the full reports
-    into the campaign directory when there is one.
+    allocations in a single campaign span) and records the full reports
+    in the campaign store when there is a directory.
     """
     for r in reports:
         bus.emit(CAMPAIGN_REPORT, **r.headline())

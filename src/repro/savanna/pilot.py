@@ -105,7 +105,7 @@ class PilotExecutor:
         Emits (via :func:`~repro.savanna.runner.run_campaign` and the
         layers below) one ``campaign`` span, an ``alloc.submitted`` +
         ``alloc`` span per allocation, and a ``task`` span per attempt.
-        ``checkpoint``/``resume`` journal progress into a campaign
+        ``checkpoint``/``resume`` record progress in a campaign
         directory and skip runs already recorded DONE — see
         :func:`~repro.savanna.runner.run_campaign`.
         """

@@ -18,7 +18,7 @@ language as the simulated backends: it enforces a
 timeouts, allocation retry budgets), and it narrates itself on an
 :class:`~repro.observability.EventBus` with the standard
 ``campaign``/``alloc``/``task`` span taxonomy over *wall-clock* time
-(worker slots stand in for nodes), so checkpoint journaling and trace
+(worker slots stand in for nodes), so checkpoint status records and trace
 analytics work on real runs exactly as on simulated ones.  Drive it
 through :func:`repro.savanna.drive.execute_manifest` with
 ``backend="local-threads"`` or ``backend="local-processes"``.
@@ -419,7 +419,7 @@ class RealExecutor:
         Emits one ``campaign`` span wrapping one ``alloc`` span (the pool
         session; worker slots are its "nodes") wrapping one ``task`` span
         per attempt, plus ``task.retry`` / ``task.timeout`` instants —
-        the exact taxonomy the checkpoint journal and the trace analytics
+        the exact taxonomy the checkpoint and the trace analytics
         consume.  Raises ``ValueError`` on duplicate ``run_id``s rather
         than silently keeping the last result.
 
@@ -430,7 +430,7 @@ class RealExecutor:
         engine takes the same graceful path as ``Ctrl-C``: queued futures
         are cancelled, one ``campaign.interrupted`` instant is emitted,
         and unfinished runs come back ``status="interrupted"`` (resumable
-        — they compact to PENDING in the checkpoint journal).  Running
+        — they record as PENDING in the campaign store).  Running
         attempts still cannot be killed mid-flight; they are abandoned to
         the pool.
 

@@ -8,7 +8,7 @@ are retried), until the campaign completes or the allocation budget runs
 out.
 
 Durability: pass a :class:`~repro.resilience.CampaignCheckpoint` to
-journal every task transition into the Cheetah campaign directory as it
+record every task transition in the Cheetah campaign directory as it
 happens, and ``resume=True`` to skip tasks the checkpoint already records
 DONE (emitting one ``group.resumed`` instant with the skip count) — the
 paper's "simply re-submit" made crash-safe.
@@ -64,9 +64,9 @@ def run_campaign(
         the walltime (real job scripts exit when done).
     checkpoint:
         Optional :class:`~repro.resilience.CampaignCheckpoint`; while the
-        loop runs, every task transition is journaled into the campaign
-        directory (crash-safe progress), and the journal is compacted
-        into ``status.json`` when the loop drains.
+        loop runs, every task transition is committed to the campaign
+        store (crash-safe progress), and runs left RUNNING are turned
+        back into PENDING when the loop drains.
     resume:
         With a ``checkpoint``: tasks whose names the checkpoint records
         DONE are marked complete up front and never dispatched; one

@@ -6,7 +6,7 @@ users" needs a long-lived orchestration layer with submission, status,
 and cancellation APIs.  :class:`CampaignService` is that layer — an
 asyncio service owning a submission queue and a bounded worker pool, with
 every previously-built drive capability (lint gate, retry policies,
-checkpoint journal + ``resume=True``, bus events, ``report=True``
+checkpoint status records + ``resume=True``, bus events, ``report=True``
 analytics) acting as *per-submission middleware* via the staged pipeline
 in :mod:`repro.savanna.drive`.
 

@@ -1,60 +1,54 @@
-"""Migration: existing campaign directories -> the campaign store.
+"""Migration: a campaign directory's record -> another campaign store.
 
-A campaign that ran before the store existed left its state as files —
-``.cheetah/manifest.json``, ``status.json`` (+ an uncompacted
-``journal.jsonl`` if the driver died), ``.cheetah/report.json``, and one
-``result.json`` per really-executed run.  :func:`ingest_directory`
-folds all of it into the store so the §II-C catalog queries run over
-SQL, and :func:`export_directory` goes the other way, materializing the
-per-run JSON files for human inspection.
+A campaign directory keeps its durable record — run statuses, real-run
+outcomes and trace reports — in its own store at
+``.cheetah/store.sqlite``.  :func:`ingest_directory` copies that record
+into any other store (a shared catalog of many campaigns, a throwaway
+``:memory:`` store), so the §II-C catalog queries run over all of them
+in SQL; :func:`export_directory` goes the other way, materializing the
+per-run ``result.json`` files for human inspection.
 
-The migration trusts exactly what resume trusts: run statuses are the
-base ``status.json`` *overlaid with the checkpoint journal* (later
-lines win), read through
-:class:`repro.resilience.CampaignCheckpoint` — so migrating a
-crashed-mid-campaign directory lands the same pending set a resumed
-driver would compute.
+The migration copies exactly what resume trusts: the statuses and
+outcomes the directory's store holds.  The ``result.json`` files are an
+export and are never read back.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.cheetah.directory import CampaignDirectory, resolve_campaign_dir
+from repro.cheetah.directory import resolve_campaign_dir
 
 
 def ingest_directory(store, root: str | Path) -> dict:
     """Ingest one campaign directory into ``store``.
 
     Returns a summary dict: ``campaign``, ``runs`` (registered),
-    ``results`` (outcomes ingested from ``result.json`` files),
-    ``statuses`` (rows recorded), ``reports`` (reports merged).
+    ``results`` (outcomes ingested), ``statuses`` (rows recorded),
+    ``reports`` (reports merged).
     """
     directory = resolve_campaign_dir(root)
     manifest = directory.manifest
     store.ensure_campaign(manifest)
 
-    # Status: what resume would trust — base record + journal overlay.
-    from repro.resilience.checkpoint import CampaignCheckpoint
-
-    statuses = CampaignCheckpoint(directory).effective_status()
+    statuses = directory.read_status()
     store.set_statuses(manifest.campaign, statuses)
 
     results = 0
     for run in manifest.runs:
-        payload = _read_result_file(directory, run.run_id)
+        payload = directory.read_run_result(run.run_id)
         if payload is None:
             continue
         store.add_result(
             manifest.campaign,
             run.run_id,
-            status=payload.get("status", "done"),
-            value=payload.get("value"),
-            error=payload.get("error"),
-            traceback=payload.get("traceback"),
-            elapsed=payload.get("elapsed"),
-            attempts=payload.get("attempts", 1),
-            seed=payload.get("seed"),
+            status=payload["status"],
+            value=payload["value"],
+            error=payload["error"],
+            traceback=payload["traceback"],
+            elapsed=payload["elapsed"],
+            attempts=payload["attempts"],
+            seed=payload["seed"],
         )
         results += 1
     store.flush()
@@ -72,22 +66,11 @@ def ingest_directory(store, root: str | Path) -> dict:
     }
 
 
-def _read_result_file(directory: CampaignDirectory, run_id: str) -> dict | None:
-    """One run's ``result.json`` payload — *files only*, so migration
-    never reads back what a partially-ingested store already holds."""
-    from repro._util import loads_tagged
-
-    path = directory.run_dir(run_id) / "result.json"
-    if not path.exists():
-        return None
-    return loads_tagged(path.read_text())
-
-
 def export_directory(store, root: str | Path) -> int:
     """Materialize per-run ``result.json`` files from the store.
 
-    The inverse of :func:`ingest_directory`'s result pass — the opt-in
-    human-inspection export.  Returns the number of files written.
+    The opt-in human-inspection export.  Returns the number of files
+    written.
     """
     directory = resolve_campaign_dir(root)
     campaign = directory.manifest.campaign

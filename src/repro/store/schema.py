@@ -14,8 +14,11 @@ One normalized schema serves every §II-C catalog query:
 - ``reports``       — merged trace-analytics reports keyed by group
 
 The indexes exist for the catalog's access paths: rank scans
-``metrics(name, value)``, resume scans ``runs(campaign_id, status)``,
-impact groups ``parameters(name, value_json)``.
+``metrics(name, value)``, impact groups ``parameters(name, value_json)``,
+and resume reads ``runs`` through its ``(campaign_id, run_id)`` key.
+``runs.status`` has no index of its own: the checkpoint rewrites it on
+every task transition, and an index on it would double the cost of
+each of those commits.
 """
 
 from __future__ import annotations
@@ -82,8 +85,6 @@ CREATE TABLE IF NOT EXISTS reports (
     PRIMARY KEY (campaign_id, group_name)
 );
 
-CREATE INDEX IF NOT EXISTS idx_runs_campaign_status
-    ON runs(campaign_id, status);
 CREATE INDEX IF NOT EXISTS idx_metrics_name_value
     ON metrics(name, value);
 CREATE INDEX IF NOT EXISTS idx_parameters_name_value

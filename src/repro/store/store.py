@@ -232,11 +232,10 @@ class CampaignStore:
         or its dict form.  Interrupted runs are skipped — an interrupted
         attempt is pending work, not an outcome.  The batch is flushed
         before returning: after this call the outcomes are durable.
+        Fields are read in place, never copied.
         """
-        from dataclasses import asdict, is_dataclass
-
         for run_id, outcome in results.items():
-            payload = asdict(outcome) if is_dataclass(outcome) else dict(outcome)
+            payload = outcome if isinstance(outcome, dict) else vars(outcome)
             if payload.get("status") == "interrupted":
                 continue
             self.add_result(
@@ -300,7 +299,12 @@ class CampaignStore:
     # -- status --------------------------------------------------------------
 
     def set_statuses(self, campaign: str, updates: dict) -> None:
-        """Record status transitions ``{run_id: RunStatus | str}`` in bulk."""
+        """Record status transitions ``{run_id: RunStatus | str}`` in bulk.
+
+        Ids not registered for the campaign match no row and are ignored;
+        :meth:`CampaignDirectory.update_status
+        <repro.cheetah.directory.CampaignDirectory.update_status>` is the
+        validating face."""
         cid = self._campaign_id_checked(campaign)
         rows = [
             (getattr(status, "value", status), cid, run_id)
@@ -311,6 +315,19 @@ class CampaignStore:
             self._conn.executemany(
                 "UPDATE runs SET status = ? WHERE campaign_id = ? AND run_id = ?",
                 rows,
+            )
+            self._conn.commit()
+
+    def requeue_running(self, campaign: str) -> None:
+        """Turn every RUNNING run of a campaign back into PENDING (one
+        ``UPDATE``): an attempt whose outcome was never recorded."""
+        cid = self._campaign_id_checked(campaign)
+        with self._lock:
+            self.flush()
+            self._conn.execute(
+                "UPDATE runs SET status = 'pending' "
+                "WHERE campaign_id = ? AND status = 'running'",
+                (cid,),
             )
             self._conn.commit()
 

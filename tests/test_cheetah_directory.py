@@ -21,7 +21,8 @@ class TestCreation:
         man = make_manifest()
         root = CampaignDirectory(tmp_path, man).create()
         assert (root / ".cheetah" / "manifest.json").exists()
-        assert (root / ".cheetah" / "status.json").exists()
+        assert (root / ".cheetah" / "store.sqlite").exists()
+        assert not (root / ".cheetah" / "status.json").exists()
         assert (root / "g" / "run-0000" / "params.json").exists()
 
     def test_params_json_content(self, tmp_path):

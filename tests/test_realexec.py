@@ -7,8 +7,12 @@ filesystem state works across both threads and processes).
 
 from __future__ import annotations
 
-import json
+import os
 import random
+import signal
+import sqlite3
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -385,35 +389,105 @@ class TestDriveRealBackends:
         with pytest.raises(CampaignLintError):
             execute_manifest(bad, backend="local-threads", app_fn=square)
 
-    def test_checkpoint_journal_tolerates_torn_final_line(self, tmp_path):
-        from repro.resilience.checkpoint import CampaignCheckpoint
-
-        man = make_manifest(values=(1, 2), name="torn")
-        directory = CampaignDirectory(tmp_path, man)
-        directory.create()
-        checkpoint = CampaignCheckpoint(directory)
-        checkpoint.record("g/run-0000", RunStatus.DONE, time=1.0)
-        journal = directory.root / ".cheetah" / "journal.jsonl"
-        with journal.open("a") as fh:
-            fh.write('{"run": "g/run-0001", "sta')  # SIGKILL mid-write
-        assert checkpoint.completed() == {"g/run-0000"}
-        assert checkpoint.pending() == {"g/run-0001"}
-
-    def test_checkpoint_journal_rejects_interior_corruption(self, tmp_path):
-        from repro.resilience.checkpoint import CampaignCheckpoint
-
-        man = make_manifest(values=(1, 2), name="corrupt")
-        directory = CampaignDirectory(tmp_path, man)
-        directory.create()
-        checkpoint = CampaignCheckpoint(directory)
-        journal = directory.root / ".cheetah" / "journal.jsonl"
-        journal.write_text(
-            'not json at all\n'
-            + json.dumps({"run": "g/run-0000", "status": "done", "time": 1.0})
-            + "\n"
+    def test_sigkilled_driver_resumes_exactly_the_runs_not_done(self, tmp_path):
+        """SIGKILL a ``local-processes`` driver once the store records two
+        runs DONE: the store stays intact, and a ``resume=True`` drive
+        executes exactly the runs it does not record DONE."""
+        script = tmp_path / "driver.py"
+        script.write_text(_KILLED_DRIVER)
+        root = tmp_path / "root"
+        store_path = root / "sigkill" / ".cheetah" / "store.sqlite"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        # Own session: the kill takes the driver and its pool workers at
+        # once, so no worker is left orphaned behind the test.
+        proc = subprocess.Popen(
+            [sys.executable, str(script), str(root)], env=env, start_new_session=True
         )
-        with pytest.raises(json.JSONDecodeError):
-            checkpoint.journal_entries()
+        deadline = time.monotonic() + 120.0
+        try:
+            while _count_done(store_path) < 2:
+                assert proc.poll() is None, "driver finished before it could be killed"
+                assert time.monotonic() < deadline, "store never recorded 2 runs DONE"
+                time.sleep(0.02)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:  # the driver and its workers already exited
+                pass
+            proc.wait()
+
+        directory = resolve_campaign_dir(root / "sigkill")
+        with directory.open_store() as store:
+            assert store.query("PRAGMA integrity_check") == [("ok",)]
+        status = directory.read_status()
+        done = {rid for rid, st in status.items() if st is RunStatus.DONE}
+        not_done = set(status) - done
+        assert len(done) >= 2
+        assert not_done, "the kill landed after the campaign drained"
+
+        bus = wall_clock_bus()
+        events = []
+        bus.subscribe(events.append)
+        result = execute_manifest(
+            directory.manifest,
+            backend="local-processes",
+            app_fn=square,
+            directory=directory,
+            resume=True,
+            max_workers=2,
+            bus=bus,
+        )
+        assert set(result.results) == not_done
+        resumed = [e for e in events if e.name == GROUP_RESUMED]
+        assert resumed and resumed[0].fields["skipped"] == len(done)
+        assert result.all_done
+        assert directory.summary()["done"] == len(status)
+
+
+#: A driver script killed mid-campaign by the test above; its app sleeps so
+#: the kill lands while runs are still pending.
+_KILLED_DRIVER = """
+import sys
+import time
+
+from repro.cheetah import AppSpec, Campaign, Sweep, SweepParameter
+from repro.savanna import execute_manifest
+
+
+def slow_square(params):
+    time.sleep(0.3)
+    return params["x"] ** 2
+
+
+if __name__ == "__main__":
+    camp = Campaign("sigkill", app=AppSpec("square"))
+    camp.sweep_group("g", nodes=1, walltime=60.0).add(
+        Sweep([SweepParameter("x", tuple(range(8)))])
+    )
+    execute_manifest(
+        camp.to_manifest(),
+        backend="local-processes",
+        app_fn=slow_square,
+        directory=sys.argv[1],
+        max_workers=1,
+    )
+"""
+
+
+def _count_done(store_path: Path) -> int:
+    """Runs the store records DONE, read through a read-only connection."""
+    if not store_path.exists():
+        return 0
+    try:
+        conn = sqlite3.connect(f"file:{store_path}?mode=ro", uri=True)
+        try:
+            return conn.execute(
+                "SELECT COUNT(*) FROM runs WHERE status = 'done'"
+            ).fetchone()[0]
+        finally:
+            conn.close()
+    except sqlite3.OperationalError:  # schema not created yet
+        return 0
 
 
 class TestPolicyNormalization:

@@ -28,10 +28,12 @@ def make_directory(tmp_path, manifest):
 class TestCampaignCheckpoint:
     def test_record_appends_and_reads_back(self, tmp_path):
         checkpoint = CampaignCheckpoint(make_directory(tmp_path, make_manifest()))
-        checkpoint.record("g/run-0000", RunStatus.RUNNING, time=1.0)
-        checkpoint.record("g/run-0000", RunStatus.DONE, time=2.0)
-        entries = checkpoint.journal_entries()
-        assert [e["status"] for e in entries] == ["running", "done"]
+        seen = []
+        checkpoint.record("g/run-0000", RunStatus.RUNNING)
+        seen.append(checkpoint.effective_status()["g/run-0000"])
+        checkpoint.record("g/run-0000", RunStatus.DONE)
+        seen.append(checkpoint.effective_status()["g/run-0000"])
+        assert seen == [RunStatus.RUNNING, RunStatus.DONE]
 
     def test_unknown_run_rejected(self, tmp_path):
         checkpoint = CampaignCheckpoint(make_directory(tmp_path, make_manifest()))
@@ -47,8 +49,6 @@ class TestCampaignCheckpoint:
         assert status["g/run-0001"] is RunStatus.DONE
         assert status["g/run-0000"] is RunStatus.PENDING
         assert checkpoint.completed() == {"g/run-0001"}
-        # the base record on disk is untouched until compaction
-        assert directory.read_status()["g/run-0001"] is RunStatus.PENDING
 
     def test_compact_folds_journal_and_requeues_running(self, tmp_path):
         directory = make_directory(tmp_path, make_manifest())
@@ -59,11 +59,16 @@ class TestCampaignCheckpoint:
         status = directory.read_status()
         assert status["g/run-0000"] is RunStatus.DONE
         assert status["g/run-0001"] is RunStatus.PENDING
-        assert checkpoint.journal_entries() == []
-        checkpoint.compact()  # no journal: a no-op
+        checkpoint.compact()  # nothing left RUNNING: a no-op
+        assert directory.read_status() == status
 
     def test_attach_journals_task_spans_and_ignores_foreign_tasks(self, tmp_path):
         checkpoint = CampaignCheckpoint(make_directory(tmp_path, make_manifest()))
+        recorded = []
+        record = checkpoint.record
+        checkpoint.record = lambda run_id, status: (
+            recorded.append(run_id), record(run_id, status)
+        )
         bus = EventBus()
         checkpoint.attach(bus)
         bus.emit(TASK, phase=BEGIN, task="g/run-0002", time=0.0)
@@ -72,10 +77,7 @@ class TestCampaignCheckpoint:
         bus.emit("node.busy", task="g/run-0003")
         checkpoint.detach()
         bus.emit(TASK, phase=BEGIN, task="g/run-0004")  # after detach: ignored
-        assert [e["run"] for e in checkpoint.journal_entries()] == [
-            "g/run-0002",
-            "g/run-0002",
-        ]
+        assert recorded == ["g/run-0002", "g/run-0002"]
         assert checkpoint.completed() == {"g/run-0002"}
 
     def test_attach_twice_rejected_detach_idempotent(self, tmp_path):
@@ -179,8 +181,8 @@ class TestInterruptedCampaignResume:
         assert directory.summary()["done"] == 8
 
     def test_journal_survives_a_killed_driver(self, tmp_path):
-        # Emulate a driver killed mid-campaign: DONE lines sit in the
-        # journal, status.json still says PENDING, nothing was compacted.
+        # Emulate a driver killed mid-campaign: one run committed DONE,
+        # one left RUNNING, nothing was compacted.
         manifest = make_manifest(n=6, nodes=4, walltime=500.0)
         directory = make_directory(tmp_path, manifest)
         checkpoint = CampaignCheckpoint(directory)

@@ -406,3 +406,17 @@ class TestCheckpointSingleWriter:
         second.attach(bus)
         second.detach()
         second.detach()
+
+    def test_guard_keys_on_the_directory_not_the_object(self, tmp_path):
+        manifest = make_manifest("guarded-twice")
+        directory = CampaignDirectory(tmp_path, manifest)
+        directory.create()
+        reopened = CampaignDirectory.open(directory.root)
+        bus = service_bus("guard")
+        first = CampaignCheckpoint(directory)
+        first.attach(bus, owner="sub-0001")
+        try:
+            with pytest.raises(RuntimeError, match="sub-0001"):
+                CampaignCheckpoint(reopened).attach(bus)
+        finally:
+            first.detach()

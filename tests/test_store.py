@@ -190,17 +190,19 @@ class TestMigration:
         directory = CampaignDirectory(tmp_path, manifest)
         directory.create()
         directory.update_status({r.run_id: RunStatus.DONE for r in manifest.runs})
-        for i, run in enumerate(manifest.runs):
-            directory.write_run_result(
-                run.run_id,
-                {
+        directory.record_results(
+            {
+                run.run_id: {
                     "run_id": run.run_id, "status": "done",
                     "value": {"loss": float(i % 5) + 0.5,
                               "cost": float(len(manifest.runs) - i)},
                     "error": None, "traceback": None,
                     "elapsed": 0.01 * i, "attempts": 1, "seed": i,
-                },
-            )
+                }
+                for i, run in enumerate(manifest.runs)
+            },
+            json_export=True,
+        )
         return directory
 
     def test_round_trip_identical_catalog_answers(self, tmp_path):
@@ -239,11 +241,12 @@ class TestMigration:
                 (directory.run_dir(run.run_id) / "result.json").unlink()
             written = export_directory(store, directory.root)
         assert written == len(manifest.runs)
-        payload = directory.read_run_result(manifest.runs[0].run_id)
-        assert payload["status"] == "done"
+        # read the export itself: the directory answers from its store
+        exported = directory.run_dir(manifest.runs[0].run_id) / "result.json"
+        assert json.loads(exported.read_text())["status"] == "done"
 
     def test_migration_respects_checkpoint_journal(self, tmp_path):
-        """Statuses come from the journal overlay — what resume trusts."""
+        """Statuses come from the checkpoint's records — what resume trusts."""
         from repro.resilience import CampaignCheckpoint
 
         manifest = make_manifest()
@@ -251,8 +254,8 @@ class TestMigration:
         directory.create()
         checkpoint = CampaignCheckpoint(directory)
         rid = manifest.runs[0].run_id
-        checkpoint.record(rid, RunStatus.RUNNING, time=1.0)
-        checkpoint.record(rid, RunStatus.DONE, time=2.0)
+        checkpoint.record(rid, RunStatus.RUNNING)
+        checkpoint.record(rid, RunStatus.DONE)
         with CampaignStore(":memory:") as store:
             ingest_directory(store, directory.root)
             assert store.statuses(manifest.campaign)[rid] == "done"
@@ -338,25 +341,54 @@ class TestDriveIntegration:
         directory = CampaignDirectory.open(tmp_path / manifest.campaign)
         assert (directory.run_dir(manifest.runs[0].run_id) / "result.json").exists()
 
-    def test_real_drive_store_false_is_legacy_path(self, tmp_path):
+    def test_read_run_result_answers_from_store_not_stale_export(self, tmp_path):
+        """A re-drive without the export must not be shadowed by an older
+        result.json: the store is the record, the file only an export."""
+        from repro.savanna import execute_manifest
+
+        manifest = make_manifest()
+        rid = manifest.runs[0].run_id
+        execute_manifest(
+            manifest, backend="local-threads", directory=tmp_path,
+            app_fn=_loss_ten, json_results=True, max_workers=2,
+        )
+        execute_manifest(
+            manifest, backend="local-threads", directory=tmp_path,
+            app_fn=_loss_twenty, resume=False, max_workers=2,
+        )
+        directory = CampaignDirectory.open(tmp_path / manifest.campaign)
+        with directory.open_store() as store:
+            assert store.read_run_result(manifest.campaign, rid)["value"] == {"loss": 20.0}
+        assert directory.read_run_result(rid)["value"] == {"loss": 20.0}
+
+    def test_report_drive_leaves_only_store_and_json_metadata(self, tmp_path):
+        """Status, reports and outcomes live only in the store: no
+        status/journal/report file and no lock file beside it."""
         from repro.savanna import execute_manifest
 
         manifest = make_manifest()
         execute_manifest(
-            manifest,
-            backend="local-threads",
-            directory=tmp_path,
-            app_fn=_loss_app,
-            store=False,
-            max_workers=2,
+            manifest, backend="local-threads", directory=tmp_path,
+            app_fn=_loss_app, report=True, max_workers=2,
         )
         directory = CampaignDirectory.open(tmp_path / manifest.campaign)
-        assert not directory.store_path().exists()
-        assert (directory.run_dir(manifest.runs[0].run_id) / "result.json").exists()
+        meta = directory.root / CampaignDirectory.METADATA_DIR
+        names = {p.name for p in meta.iterdir()} - {"store.sqlite-wal", "store.sqlite-shm"}
+        assert names == {"manifest.json", "lint.json", "store.sqlite"}
+        assert len(directory.read_report()) == 1
+        assert directory.summary()["done"] == len(manifest.runs)
 
 
 def _loss_app(parameters):
     return {"loss": float(parameters["x"]) + (0.25 if parameters["mode"] == "b" else 0.0)}
+
+
+def _loss_ten(parameters):
+    return {"loss": 10.0}
+
+
+def _loss_twenty(parameters):
+    return {"loss": 20.0}
 
 
 class TestCli:

@@ -2,16 +2,17 @@
 """Kill + resume smoke test for the real-execution drive path (CI).
 
 Drives a ``local-processes`` campaign in a child process, SIGKILLs the
-child once the checkpoint journal records at least two runs DONE, then
-resumes in-process with ``resume=True`` and asserts that
+child once the campaign store records at least two runs DONE (read
+through a read-only connection), then resumes in-process with
+``resume=True`` and asserts that
 
-- the journal's pending set is exactly what the resumed drive re-queues,
+- the store passes ``PRAGMA integrity_check``,
+- the store's pending set is exactly what the resumed drive re-queues,
 - the resumed drive skips exactly the runs already recorded DONE, and
 - the campaign directory ends with every run DONE.
 
-This is the write-ahead-journal contract under the harshest failure a
-driver can suffer (SIGKILL: no handlers, no atexit, possibly a torn
-final journal line).
+This is the checkpoint's crash contract under the harshest failure a
+driver can suffer (SIGKILL: no handlers, no atexit, possibly mid-commit).
 
 Usage: ``python tools/smoke_realexec_resume.py`` (parent; creates a temp
 campaign root) — ``--child <root>`` is the internal child entry point.
@@ -19,9 +20,9 @@ campaign root) — ``--child <root>`` is the internal child entry point.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -64,47 +65,54 @@ def child(root: str) -> None:
         backend="local-processes",
         app_fn=slow_square,
         directory=root,
-        max_workers=1,  # serial completion -> deterministic journal growth
+        max_workers=1,  # serial completion -> deterministic store growth
     )
 
 
-def count_done(journal: Path) -> int:
-    if not journal.exists():
+def count_done(store_path: Path) -> int:
+    """Runs the store records DONE, read without taking a write handle."""
+    if not store_path.exists():
         return 0
-    done = set()
-    for line in journal.read_text().splitlines():
+    try:
+        conn = sqlite3.connect(f"file:{store_path}?mode=ro", uri=True)
         try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn in-progress write
-        if entry.get("status") == "done":
-            done.add(entry["run"])
-    return len(done)
+            return conn.execute(
+                "SELECT COUNT(*) FROM runs WHERE status = 'done'"
+            ).fetchone()[0]
+        finally:
+            conn.close()
+    except sqlite3.OperationalError:  # schema not created yet
+        return 0
 
 
 def parent() -> int:
     root = Path(tempfile.mkdtemp(prefix="smoke-realexec-"))
-    journal = root / "smoke-realexec" / ".cheetah" / "journal.jsonl"
+    store_path = root / "smoke-realexec" / ".cheetah" / "store.sqlite"
 
+    # Own session: the kill takes the child driver and its pool workers
+    # at once, so no worker is left orphaned behind the smoke test.
     proc = subprocess.Popen(
         [sys.executable, __file__, "--child", str(root)],
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        start_new_session=True,
     )
     deadline = time.monotonic() + TIMEOUT
     try:
-        while count_done(journal) < KILL_AFTER_DONE:
+        while count_done(store_path) < KILL_AFTER_DONE:
             if proc.poll() is not None:
                 print("FAIL: child finished before it could be killed "
                       f"(rc={proc.returncode}) — raise N_RUNS/SLEEP_PER_RUN")
                 return 1
             if time.monotonic() > deadline:
-                print("FAIL: journal never reached "
-                      f"{KILL_AFTER_DONE} done entries within {TIMEOUT}s")
+                print("FAIL: store never recorded "
+                      f"{KILL_AFTER_DONE} runs done within {TIMEOUT}s")
                 return 1
             time.sleep(0.05)
     finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGKILL)
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the driver and its workers already exited
+            pass
         proc.wait()
     print(f"killed child driver (pid {proc.pid}) mid-campaign")
 
@@ -115,10 +123,13 @@ def parent() -> int:
     from repro.savanna.realexec import wall_clock_bus
 
     directory = resolve_campaign_dir(root / "smoke-realexec")
+    with directory.open_store() as store:
+        integrity = store.query("PRAGMA integrity_check")
+    assert integrity == [("ok",)], f"store damaged by the kill: {integrity}"
     checkpoint = CampaignCheckpoint(directory)
     done_before = checkpoint.completed()
     pending_before = checkpoint.pending()
-    print(f"journal after kill: {len(done_before)} done, "
+    print(f"store after kill: {len(done_before)} done, "
           f"{len(pending_before)} pending")
     assert done_before, "no run recorded DONE before the kill"
     assert pending_before, "kill landed after the campaign drained"
@@ -140,7 +151,7 @@ def parent() -> int:
     executed = set(result.results)
     assert executed == pending_before, (
         f"resume must re-queue exactly the pending set: "
-        f"ran {sorted(executed)}, journal said {sorted(pending_before)}"
+        f"ran {sorted(executed)}, store said {sorted(pending_before)}"
     )
     resumed = [e for e in events if e.name == GROUP_RESUMED]
     assert resumed and resumed[0].fields["skipped"] == len(done_before)

@@ -82,6 +82,7 @@ def answers_of(catalog) -> dict:
 
 
 def main() -> int:
+    from repro._util import loads_tagged
     from repro.cheetah.catalog import CampaignCatalog
     from repro.cheetah.directory import CampaignDirectory
     from repro.savanna import execute_manifest
@@ -105,10 +106,10 @@ def main() -> int:
         directory = CampaignDirectory.open(campaign_dir)
         assert directory.store_path().exists(), "drive did not materialize the store"
 
-        # 2. the pre-store answer from the files
+        # 2. the pre-store answer from the exported files
         mem = CampaignCatalog(manifest.campaign)
         for run in manifest.runs:
-            payload = directory.read_run_result(run.run_id)
+            payload = loads_tagged((directory.run_dir(run.run_id) / "result.json").read_text())
             mem.add(run.run_id, dict(run.parameters), metrics_from_value(payload["value"]))
         expected = answers_of(mem)
         print(f"[smoke-store] file-based answers: best={expected['best']}")
@@ -124,16 +125,16 @@ def main() -> int:
         )
         print("[smoke-store] migrated SQL catalog answers identical")
 
-        # 4. files deleted -> reads fall back to the in-place store; export restores
+        # 4. files deleted -> reads still answer from the in-place store; export restores
         for run in manifest.runs:
             (directory.run_dir(run.run_id) / "result.json").unlink()
         payload = directory.read_run_result(manifest.runs[0].run_id)
         assert payload is not None and payload["status"] == "done", (
-            "store fallback read failed after deleting result.json files"
+            "store read failed after deleting result.json files"
         )
         run_cli("export", str(campaign_dir))
         assert (directory.run_dir(manifest.runs[0].run_id) / "result.json").exists()
-        print("[smoke-store] store fallback read + export round trip ok")
+        print("[smoke-store] store read + export round trip ok")
 
         # 5. CLI query surface
         best = run_cli("query", str(campaign_dir), "best", "--metric", "loss")
